@@ -66,16 +66,15 @@ use std::time::Instant;
 
 use obs::{Console, TraceWriter};
 
+use rac::lineup::{CheckpointOptions, LineupOutcome};
 use rac::{
-    grouping, maxclients_sweep, paper_contexts, Experiment, IterationRecord, MeasureJob,
-    PolicyLibrary, RacAgent, RacSettings, Runner, SimMeasurer, StaticDefault, TrialAndError, Tuner,
+    convergence_iteration, grouping, maxclients_sweep, paper_contexts, paper_system_spec,
+    response_series, standard_policy_library, standard_settings, Experiment, IterationRecord,
+    MeasureJob, PolicyLibrary, RacAgent, RacSettings, Runner, SimMeasurer, StaticDefault,
+    TrialAndError, Tuner, ONLINE_LEVELS, SLA_MS,
 };
-use rac_bench::checkpoint::{CheckpointOptions, LineupOutcome};
 use rac_bench::output::{ascii_chart, TextTable};
 use rac_bench::perfsuite;
-use rac_bench::{
-    paper_system_spec, standard_policy_library, standard_settings, ONLINE_LEVELS, SLA_MS,
-};
 use scenario::Scenario;
 use simkernel::SimDuration;
 use tpcw::Mix;
@@ -873,36 +872,14 @@ fn fig4(opts: &Options, out: &mut String) {
 // Online-learning figures (Section 5)
 // --------------------------------------------------------------------
 
+/// Band of the "driven to a stable state" test: a series has converged
+/// once it stays within 20% of its final plateau.
+const CONVERGENCE_BAND: f64 = 0.2;
+
 /// Runs one tuner through an experiment and returns its response-time
 /// series.
 fn run_series(exp: &Experiment, tuner: &mut dyn Tuner) -> Vec<IterationRecord> {
     exp.run(tuner)
-}
-
-fn response_series(records: &[IterationRecord]) -> Vec<f64> {
-    records.iter().map(|r| r.response_ms).collect()
-}
-
-/// The iteration after which the series stays within 20% of its final
-/// plateau (mean of the last 5 samples) — "driven to a stable state".
-fn convergence_iteration(series: &[f64]) -> Option<usize> {
-    if series.len() < 6 {
-        return None;
-    }
-    let tail: f64 = series[series.len() - 5..].iter().sum::<f64>() / 5.0;
-    if !tail.is_finite() {
-        return None;
-    }
-    let ok = |v: f64| v.is_finite() && (v - tail).abs() <= 0.2 * tail.abs().max(1.0);
-    let mut candidate = None;
-    for (i, &v) in series.iter().enumerate() {
-        if ok(v) {
-            candidate.get_or_insert(i);
-        } else {
-            candidate = None;
-        }
-    }
-    candidate
 }
 
 fn experiment_123(opts: &Options) -> Experiment {
@@ -989,7 +966,7 @@ fn fig5(opts: &Options, library: &PolicyLibrary, out: &mut String) {
     let n = exp.total_iterations() / 3;
     for (phase, label) in [(0, "context-1"), (1, "context-2"), (2, "context-3")] {
         let slice = &response_series(&rac_series)[phase * n..(phase + 1) * n];
-        match convergence_iteration(slice) {
+        match convergence_iteration(slice, CONVERGENCE_BAND) {
             Some(it) => {
                 let _ = writeln!(out, "  RAC stabilized in {label} after {it} iterations");
             }
@@ -1082,7 +1059,7 @@ fn fig7(opts: &Options, library: &PolicyLibrary, out: &mut String) {
             "  mean: w/ init {:.0} ms | w/o init {:.0} ms | stable-after: {:?}",
             mean_of(&with_series),
             mean_of(&without_series),
-            convergence_iteration(&response_series(&with_series))
+            convergence_iteration(&response_series(&with_series), CONVERGENCE_BAND)
         );
     }
 }
@@ -1168,7 +1145,7 @@ fn fig9(opts: &Options, library: &PolicyLibrary, out: &mut String) {
             "  mean: adaptive {:.0} ms | static {:.0} ms | static stable-after {:?}",
             mean_of(&adaptive_series),
             mean_of(&static_series),
-            convergence_iteration(&response_series(&static_series))
+            convergence_iteration(&response_series(&static_series), CONVERGENCE_BAND)
         );
     }
 }
@@ -1345,7 +1322,7 @@ fn load_resume_snapshot_or_exit(path: &Path) -> ckpt::Snapshot {
 /// or runs each operand (bundled name or `.scn` path) through the
 /// standard tuner line-up, writing `results/scenario-<name>.csv` per
 /// run. With `--checkpoint`/`--resume`, the line-up persists and
-/// restores itself through `rac_bench::checkpoint`.
+/// restores itself through `rac::lineup`.
 ///
 /// Scenario runs are sequential end to end — the series must be a pure
 /// function of (spec, scenario, seed), bit-identical at any
@@ -1404,7 +1381,7 @@ fn run_scenarios(raw: &[String], opts: &Options, console: &Console, live: bool) 
             // seeding boundary, instead of a panic mid-run.
             match rac::library_from_snapshot_checked(
                 &snap,
-                rac_bench::standard_lattice().num_states(),
+                rac::standard_lattice().num_states(),
                 rac::Action::COUNT,
             ) {
                 Ok(lib) => {
@@ -1590,35 +1567,33 @@ fn scenario_figure(
         None => match live_trace {
             // Live run: flush the (prefix-stable) trace after each
             // tuner session so followers see it grow mid-run.
-            Some(path) => rac_bench::scenario::run_tuners_with(scn, library, |_| {
+            Some(path) => rac::lineup::run_tuners_with(scn, library, |_| {
                 if let Some(text) = obs::trace::snapshot_serialized() {
                     let _ = std::fs::write(path, text);
                 }
             }),
-            None => rac_bench::scenario::run_tuners(scn, library),
+            None => rac::lineup::run_tuners(scn, library),
         },
-        Some(plan) => {
-            match rac_bench::checkpoint::run_tuners_checkpointed(scn, library, plan, resume)? {
-                LineupOutcome::Complete(series) => series,
-                LineupOutcome::Interrupted { global_iterations } => {
-                    let _ = writeln!(
-                        out,
-                        "  stopped after {global_iterations} line-up iterations \
-                         (checkpoint: {})",
-                        plan.path.display()
-                    );
-                    let _ = writeln!(
-                        out,
-                        "  resume with: figures scenario {} --resume {}",
-                        scn.name,
-                        plan.path.display()
-                    );
-                    return Ok(false);
-                }
+        Some(plan) => match rac::lineup::run_tuners_checkpointed(scn, library, plan, resume)? {
+            LineupOutcome::Complete(series) => series,
+            LineupOutcome::Interrupted { global_iterations } => {
+                let _ = writeln!(
+                    out,
+                    "  stopped after {global_iterations} line-up iterations \
+                     (checkpoint: {})",
+                    plan.path.display()
+                );
+                let _ = writeln!(
+                    out,
+                    "  resume with: figures scenario {} --resume {}",
+                    scn.name,
+                    plan.path.display()
+                );
+                return Ok(false);
             }
-        }
+        },
     };
-    let t = rac_bench::scenario::scenario_table(scn, &series);
+    let t = rac::lineup::scenario_table(scn, &series);
     let _ = write!(out, "{t}");
     let chart: Vec<(&str, Vec<f64>)> = series
         .iter()
@@ -1704,7 +1679,7 @@ fn run_profile(raw: &[String], opts: &Options, console: &Console) {
         scn.interval.as_secs_f64()
     ));
     let t0 = Instant::now();
-    let outcome = rac_bench::checkpoint::run_tuners_checkpointed(&scn, &library, &plan, None);
+    let outcome = rac::lineup::run_tuners_checkpointed(&scn, &library, &plan, None);
     let _ = std::fs::remove_file(&ckpt_path);
     match outcome {
         Ok(LineupOutcome::Complete(_)) => {}

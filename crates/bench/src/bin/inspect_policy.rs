@@ -9,8 +9,7 @@
 use std::fmt::Write as _;
 
 use obs::Console;
-use rac::{Action, ConfigLattice, ConfigMdp, SlaReward};
-use rac_bench::{cache, ONLINE_LEVELS, SLA_MS};
+use rac::{cache, Action, ConfigLattice, ConfigMdp, SlaReward, ONLINE_LEVELS, SLA_MS};
 use rl::Environment;
 use websim::ServerConfig;
 

@@ -11,14 +11,13 @@
 use ckpt::wire::{Reader, Writer};
 use ckpt::{Snapshot, SnapshotWriter};
 use rac::{
-    BoundaryAction, Experiment, IterationRecord, RacAgent, ScenarioProgress, ScenarioRunOutcome,
+    paper_system_spec, standard_settings, BoundaryAction, Experiment, IterationRecord, RacAgent,
+    ScenarioProgress, ScenarioRunOutcome, SLA_MS,
 };
 use scenario::{Directive, Scenario, Tier};
 use simkernel::{Pcg64, SimDuration};
 use tpcw::Mix;
 use vmstack::ResourceLevel;
-
-use crate::{paper_system_spec, standard_settings, SLA_MS};
 
 /// Seeds the CI chaos job and the integration tests pin.
 pub const PINNED_SEEDS: [u64; 3] = [101, 202, 303];

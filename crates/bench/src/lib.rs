@@ -1,13 +1,12 @@
 //! Shared infrastructure for the paper-reproduction harness.
 //!
 //! The `figures` binary (one subcommand per table/figure of the paper)
-//! builds on the helpers here: the canonical testbed specification, the
-//! standard agent settings, a disk-cached policy library, and plain-text
-//! table / CSV output.
+//! builds on the modules here. The canonical testbed, the policy cache
+//! and the standard line-up live in `rac`, which the `racd` daemon runs
+//! too; the re-exports below keep their old paths working for the
+//! integration tests and the end-to-end benchmark.
 
-pub mod cache;
 pub mod chaos;
-pub mod checkpoint;
 pub mod crashdrill;
 pub mod fleet;
 pub mod output;
@@ -16,166 +15,16 @@ pub mod profile;
 pub mod scenario;
 pub mod tournament;
 
-use rac::{
-    build_policy_library, paper_contexts, ConfigLattice, PolicyLibrary, RacSettings, SlaReward,
-    SystemContext, TrainingOptions,
+pub use rac::cache;
+pub use rac::{
+    paper_system_spec, standard_lattice, standard_policy_library, standard_settings,
+    standard_training_options, ONLINE_LEVELS, SLA_MS,
 };
-use simkernel::SimDuration;
-use websim::SystemSpec;
 
-/// Lattice resolution used by all reproduction experiments.
-pub const ONLINE_LEVELS: usize = 4;
-
-/// SLA reference used by the reward function (ms).
-pub const SLA_MS: f64 = 1_000.0;
-
-/// The canonical simulated testbed: the paper's host (two quad-core
-/// Xeons, 8 GB) with a client population heavy enough that configuration
-/// genuinely matters.
-pub fn paper_system_spec() -> SystemSpec {
-    SystemSpec::default().with_clients(600).with_seed(42)
-}
-
-/// Standard agent hyper-parameters for the reproduction (paper values).
-pub fn standard_settings() -> RacSettings {
-    RacSettings {
-        online_levels: ONLINE_LEVELS,
-        sla_ms: SLA_MS,
-        ..RacSettings::default()
-    }
-}
-
-/// The standard online lattice.
-pub fn standard_lattice() -> ConfigLattice {
-    ConfigLattice::new(ONLINE_LEVELS)
-}
-
-/// Offline-training options used for the policy library.
-pub fn standard_training_options() -> TrainingOptions {
-    TrainingOptions {
-        warmup: SimDuration::from_secs(600),
-        measure: SimDuration::from_secs(240),
-        ..TrainingOptions::default()
-    }
-}
-
-/// Builds (or loads from `results/cache/`) the policy library for the
-/// six Table-2 contexts. Offline training is the expensive step — the
-/// paper reports "more than ten hours" of data collection — so the
-/// result is cached on disk keyed by context.
-pub fn standard_policy_library(cache_dir: &std::path::Path) -> PolicyLibrary {
-    let lattice = standard_lattice();
-    let spec = paper_system_spec();
-    let reward = SlaReward::new(SLA_MS);
-    let options = standard_training_options();
-    let mut library = PolicyLibrary::new();
-    for (i, context) in paper_contexts().iter().enumerate() {
-        let key = format!("policy-ctx{}-L{}.bin", i + 1, ONLINE_LEVELS);
-        let path = cache_dir.join(&key);
-        let policy = match cache::load_policy(&path, &lattice) {
-            Some(policy) => policy,
-            None => {
-                eprintln!(
-                    "  [offline] training initial policy for context-{} ({context})",
-                    i + 1
-                );
-                let policy =
-                    rac::train_policy_for_context(&spec, *context, &lattice, reward, options);
-                if let Err(e) = cache::store_policy(&path, &policy) {
-                    eprintln!("  [offline] warning: could not cache policy: {e}");
-                }
-                policy
-            }
-        };
-        library.insert(*context, policy);
-    }
-    library
-}
-
-/// Builds the library for a subset of contexts (used by single-figure
-/// runs that do not need all six).
-pub fn policy_library_for(cache_dir: &std::path::Path, wanted: &[SystemContext]) -> PolicyLibrary {
-    let full = standard_policy_library(cache_dir);
-    let mut lib = PolicyLibrary::new();
-    for ctx in wanted {
-        let policy = full.for_context(*ctx).expect("Table-2 context").clone();
-        lib.insert(*ctx, policy);
-    }
-    lib
-}
-
-/// Convenience: train the library fresh with cheap settings, for smoke
-/// tests of the harness itself.
-pub fn quick_policy_library(contexts: &[SystemContext]) -> PolicyLibrary {
-    let lattice = ConfigLattice::new(3);
-    build_policy_library(
-        &paper_system_spec().with_clients(80),
-        contexts,
-        &lattice,
-        SlaReward::new(SLA_MS),
-        TrainingOptions {
-            warmup: SimDuration::from_secs(60),
-            measure: SimDuration::from_secs(60),
-            ..TrainingOptions::default()
-        },
-    )
-}
-
-/// A single-context library at the *standard* lattice with cheap
-/// training, disk-cached like [`standard_policy_library`]. This is the
-/// `racd --library quick` flavor: fast enough for the crash drill and
-/// the CI daemon job (one short training pass, then cache hits), while
-/// matching the lineup's `ONLINE_LEVELS` lattice so checkpoint
-/// dimension checks pass. Deterministic: cached and freshly-trained
-/// libraries are identical, so a relaunched daemon seeds the same
-/// agent.
-pub fn daemon_quick_library(cache_dir: &std::path::Path) -> PolicyLibrary {
-    let lattice = standard_lattice();
-    let context = paper_contexts()[0];
-    let path = cache_dir.join(format!("policy-daemon-quick-L{ONLINE_LEVELS}.bin"));
-    let mut library = PolicyLibrary::new();
-    let policy = match cache::load_policy(&path, &lattice) {
-        Some(policy) => policy,
-        None => {
-            let lib = build_policy_library(
-                &paper_system_spec().with_clients(60),
-                &[context],
-                &lattice,
-                SlaReward::new(SLA_MS),
-                TrainingOptions {
-                    warmup: SimDuration::from_secs(60),
-                    measure: SimDuration::from_secs(60),
-                    ..TrainingOptions::default()
-                },
-            );
-            let policy = lib.for_context(context).expect("trained context").clone();
-            if let Err(e) = cache::store_policy(&path, &policy) {
-                eprintln!("  [offline] warning: could not cache policy: {e}");
-            }
-            policy
-        }
+/// Re-exports of the checkpointed line-up runner in [`rac::lineup`].
+pub mod checkpoint {
+    pub use rac::lineup::{
+        run_tuners_checkpointed, run_tuners_checkpointed_with, CheckpointOptions, LineupCommand,
+        LineupOutcome,
     };
-    library.insert(context, policy);
-    library
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spec_and_settings_consistent() {
-        let spec = paper_system_spec();
-        assert_eq!(spec.clients, 600);
-        let s = standard_settings();
-        assert_eq!(s.online_levels, ONLINE_LEVELS);
-        assert_eq!(standard_lattice().levels(), ONLINE_LEVELS);
-    }
-
-    #[test]
-    fn quick_library_builds() {
-        let contexts = [rac::paper_contexts()[0]];
-        let lib = quick_policy_library(&contexts);
-        assert_eq!(lib.len(), 1);
-    }
 }

@@ -22,15 +22,14 @@
 use std::time::Instant;
 
 use rac::{
-    train_initial_policy, Action, ConfigLattice, ConfigMdp, Experiment, OfflineSettings,
-    PolicyLibrary, RacAgent, Runner, SimMeasurer, SlaReward,
+    paper_system_spec, standard_settings, train_initial_policy, Action, ConfigLattice, ConfigMdp,
+    Experiment, OfflineSettings, PolicyLibrary, RacAgent, Runner, SimMeasurer, SlaReward,
+    ONLINE_LEVELS, SLA_MS,
 };
 use rl::{batch_value_sweep_report, Backup, Environment, QLearning, QTable};
 use scenario::Scenario;
 use simkernel::rng::Exponential;
 use simkernel::{EventQueue, HeapQueue, Pcg64, SimDuration, SimTime};
-
-use crate::{paper_system_spec, standard_settings, ONLINE_LEVELS, SLA_MS};
 
 /// The perf-trajectory file this PR emits; the `<n>` tracks the PR
 /// sequence (see DESIGN.md).
@@ -363,18 +362,15 @@ fn prepare_recovery_snapshot(scn: &Scenario, library: &PolicyLibrary) -> Vec<u8>
     let dir = std::env::temp_dir().join(format!("rac-bench-recovery-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("recovery scratch dir");
     let path = dir.join("seed.ckpt");
-    let opts = crate::checkpoint::CheckpointOptions {
+    let opts = rac::lineup::CheckpointOptions {
         path: path.clone(),
         every: 1,
         stop_after: Some(RECOVERY_STOP_AFTER),
     };
-    let outcome = crate::checkpoint::run_tuners_checkpointed(scn, library, &opts, None)
+    let outcome = rac::lineup::run_tuners_checkpointed(scn, library, &opts, None)
         .expect("recovery snapshot run succeeds");
     assert!(
-        matches!(
-            outcome,
-            crate::checkpoint::LineupOutcome::Interrupted { .. }
-        ),
+        matches!(outcome, rac::lineup::LineupOutcome::Interrupted { .. }),
         "recovery snapshot run must stop mid-lineup"
     );
     let bytes = std::fs::read(&path).expect("recovery snapshot readable");
@@ -389,7 +385,7 @@ fn prepare_recovery_snapshot(scn: &Scenario, library: &PolicyLibrary) -> Vec<u8>
 /// again). The timed loop aborts at that boundary — aborts never write,
 /// so no disk I/O pollutes the measurement. Returns recoveries/sec.
 fn daemon_recoveries_per_sec(scn: &Scenario, library: &PolicyLibrary, snapshot: &[u8]) -> f64 {
-    let opts = crate::checkpoint::CheckpointOptions {
+    let opts = rac::lineup::CheckpointOptions {
         // Never written: the schedule is disabled and the control
         // callback aborts before any flush.
         path: std::env::temp_dir().join("rac-bench-recovery-unused.ckpt"),
@@ -399,14 +395,11 @@ fn daemon_recoveries_per_sec(scn: &Scenario, library: &PolicyLibrary, snapshot: 
     let started = Instant::now();
     for _ in 0..RECOVERY_CYCLES {
         let snap = ckpt::Snapshot::from_bytes(snapshot).expect("recovery snapshot parses");
-        let outcome = crate::checkpoint::run_tuners_checkpointed_with(
-            scn,
-            library,
-            &opts,
-            Some(&snap),
-            |_| crate::checkpoint::LineupCommand::Abort,
-        )
-        .expect("recovery replay succeeds");
+        let outcome =
+            rac::lineup::run_tuners_checkpointed_with(scn, library, &opts, Some(&snap), |_| {
+                rac::lineup::LineupCommand::Abort
+            })
+            .expect("recovery replay succeeds");
         std::hint::black_box(&outcome);
     }
     RECOVERY_CYCLES as f64 / started.elapsed().as_secs_f64()

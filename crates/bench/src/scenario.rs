@@ -1,20 +1,13 @@
-//! Scenario-run helpers shared by the `figures scenario` subcommand and
-//! the integration tests (golden digest, determinism).
-//!
-//! Everything here is deliberately sequential: a scenario run must be a
-//! pure function of (spec, scenario, seed), bit-identical at any
-//! `RAC_THREADS` setting, so the tuner line-up runs one after another
-//! instead of fanning out over the global runner.
+//! Scenario operands of the `figures scenario` subcommand: bundled
+//! names and `.scn` files. The line-up that runs them lives in
+//! [`rac::lineup`].
 
 use std::path::Path;
 
-use rac::{
-    Experiment, IterationRecord, PolicyLibrary, RacAgent, StaticDefault, TrialAndError, Tuner,
-};
+use rac::IterationRecord;
 use scenario::Scenario;
 
-use crate::output::TextTable;
-use crate::{paper_system_spec, standard_settings, ONLINE_LEVELS};
+pub use rac::lineup::{run_tuners, scenario_table};
 
 /// Names of the bundled scenarios, in bundle order.
 pub fn bundled_names() -> Vec<&'static str> {
@@ -102,72 +95,6 @@ pub fn resolve(arg: &str) -> Result<Scenario, ResolveError> {
         eprintln!("warning: {origin}: {w}");
     }
     Ok(scn)
-}
-
-/// Runs the standard tuner line-up — RAC seeded from the offline policy
-/// library, trial-and-error, and the static default — through one
-/// scenario, returning each tuner's series under its display name.
-pub fn run_tuners(
-    scn: &Scenario,
-    library: &PolicyLibrary,
-) -> Vec<(&'static str, Vec<IterationRecord>)> {
-    run_tuners_with(scn, library, |_| {})
-}
-
-/// [`run_tuners`] with an `after_each(name)` callback invoked as each
-/// tuner's session completes. Live `--serve` runs use it to flush the
-/// growing trace to disk between sessions (the serialized trace is
-/// prefix-stable, so mid-run flushes are prefixes of the final file);
-/// the callback cannot see or influence the runs themselves.
-pub fn run_tuners_with<F: FnMut(&'static str)>(
-    scn: &Scenario,
-    library: &PolicyLibrary,
-    mut after_each: F,
-) -> Vec<(&'static str, Vec<IterationRecord>)> {
-    let exp = Experiment::for_scenario(paper_system_spec(), scn);
-    let mut rac_agent = RacAgent::with_policy_library(standard_settings(), library.clone());
-    let mut tae = TrialAndError::new(ONLINE_LEVELS);
-    let mut dflt = StaticDefault::new();
-    let tuners: [(&'static str, &mut dyn Tuner); 3] = [
-        ("RAC", &mut rac_agent),
-        ("trial-and-error", &mut tae),
-        ("static default", &mut dflt),
-    ];
-    tuners
-        .into_iter()
-        .map(|(name, tuner)| {
-            let series = exp.run_scenario(scn, tuner);
-            after_each(name);
-            (name, series)
-        })
-        .collect()
-}
-
-/// The per-iteration scenario table: interval start time and offered
-/// client population alongside each tuner's mean response time.
-pub fn scenario_table(scn: &Scenario, series: &[(&str, Vec<IterationRecord>)]) -> TextTable {
-    let base = scn.clients.unwrap_or_else(|| paper_system_spec().clients);
-    let clients = scn.offered_clients(base);
-    let mut headers = vec!["iteration", "t_s", "clients"];
-    headers.extend(series.iter().map(|(n, _)| *n));
-    let mut t = TextTable::new(&headers);
-    for i in 0..scn.iterations() {
-        let t_s = i as u64 * scn.interval.as_micros() / 1_000_000;
-        let mut cells = vec![
-            i.to_string(),
-            t_s.to_string(),
-            clients.get(i).map(|c| c.to_string()).unwrap_or_default(),
-        ];
-        for (_, s) in series {
-            cells.push(
-                s.get(i)
-                    .map(|r| format!("{:.1}", r.response_ms))
-                    .unwrap_or_default(),
-            );
-        }
-        t.row(&cells);
-    }
-    t
 }
 
 /// Mean over the finite samples of a series (dropped intervals record an

@@ -17,11 +17,13 @@
 //! Table-2 contexts would be an unearned head start for one arm and a
 //! disk-cache dependency for CI.
 
-use rac::{Experiment, IterationRecord, RacAgent, Runner, StaticDefault, TrialAndError, Tuner};
+use rac::{
+    paper_system_spec, standard_settings, Experiment, IterationRecord, RacAgent, Runner,
+    StaticDefault, TrialAndError, Tuner, ONLINE_LEVELS, SLA_MS,
+};
 use scenario::{gen, Difficulty, Scenario};
 
 use crate::output::TextTable;
-use crate::{paper_system_spec, standard_settings, ONLINE_LEVELS, SLA_MS};
 
 /// Arm display names, in run (and CSV column) order.
 pub const ARMS: [&str; 3] = ["RAC", "trial-and-error", "static-default"];

@@ -21,6 +21,14 @@ impl Writer {
         Writer::default()
     }
 
+    /// An empty writer with room for `bytes` bytes, for payloads whose
+    /// size is known up front.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Consumes the writer and returns the encoded payload.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -2,15 +2,22 @@
 //!
 //! Offline training is the slow step of the pipeline, so the harness
 //! caches each context's [`InitialPolicy`] in a small self-describing
-//! binary file (little-endian, std-only — no serialization dependency).
+//! binary file: the `RACPOL01` magic, the lattice shape, the fit
+//! statistics, then the performance map and Q-table as `f32`s, all in
+//! the little-endian [`ckpt::wire`] encoding.
 
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
+use ckpt::wire::{Reader, Writer};
+use ckpt::CkptError;
 use numerics::FitQuality;
-use rac::{Action, ConfigLattice, InitialPolicy};
 use rl::QTable;
+
+use crate::action::Action;
+use crate::init::InitialPolicy;
+use crate::param::ConfigLattice;
 
 const MAGIC: &[u8; 8] = b"RACPOL01";
 
@@ -23,91 +30,66 @@ pub fn store_policy(path: &Path, policy: &InitialPolicy) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    let states = policy.perf_ms.len();
-    let actions = policy.qtable.actions();
-    let mut buf = Vec::with_capacity(16 + states * 4 * (1 + actions));
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&(states as u64).to_le_bytes());
-    buf.extend_from_slice(&(actions as u64).to_le_bytes());
-    buf.extend_from_slice(&policy.fit.r_squared.to_le_bytes());
-    buf.extend_from_slice(&policy.fit.rmse.to_le_bytes());
-    buf.extend_from_slice(&(policy.fit.samples as u64).to_le_bytes());
-    buf.extend_from_slice(&(policy.samples as u64).to_le_bytes());
-    buf.extend_from_slice(&(policy.passes as u64).to_le_bytes());
+    let values = policy.perf_ms.len() + policy.qtable.raw().len();
+    let mut w = Writer::with_capacity(64 + 4 * values);
+    w.put_u64(u64::from_le_bytes(*MAGIC));
+    w.put_usize(policy.perf_ms.len());
+    w.put_usize(policy.qtable.actions());
+    w.put_f64(policy.fit.r_squared);
+    w.put_f64(policy.fit.rmse);
+    w.put_usize(policy.fit.samples);
+    w.put_usize(policy.samples);
+    w.put_usize(policy.passes);
     for &p in &policy.perf_ms {
-        buf.extend_from_slice(&p.to_le_bytes());
+        w.put_f32(p);
     }
-    for s in 0..states {
-        for a in 0..actions {
-            buf.extend_from_slice(&(policy.qtable.get(s, a) as f32).to_le_bytes());
-        }
+    for &q in policy.qtable.raw() {
+        w.put_f32(q);
     }
     let tmp = path.with_extension("tmp");
-    fs::File::create(&tmp)?.write_all(&buf)?;
+    fs::File::create(&tmp)?.write_all(&w.into_bytes())?;
     fs::rename(&tmp, path)
 }
 
 /// Loads a policy from `path` if it exists and matches the lattice;
 /// returns `None` on a miss or any corruption (the caller retrains).
 pub fn load_policy(path: &Path, lattice: &ConfigLattice) -> Option<InitialPolicy> {
-    let mut file = fs::File::open(path).ok()?;
-    let mut buf = Vec::new();
-    file.read_to_end(&mut buf).ok()?;
-    let mut at = 0usize;
-    let take = |buf: &[u8], at: &mut usize, n: usize| -> Option<Vec<u8>> {
-        if *at + n > buf.len() {
-            return None;
-        }
-        let out = buf[*at..*at + n].to_vec();
-        *at += n;
-        Some(out)
-    };
-    if take(&buf, &mut at, 8)? != MAGIC {
-        return None;
+    decode_policy_file(&fs::read(path).ok()?, lattice).ok()
+}
+
+fn decode_policy_file(bytes: &[u8], lattice: &ConfigLattice) -> Result<InitialPolicy, CkptError> {
+    let mut r = Reader::new(bytes, "policy cache");
+    let magic = r.get_u64()?;
+    let states = r.get_usize()?;
+    let actions = r.get_usize()?;
+    if magic != u64::from_le_bytes(*MAGIC)
+        || states != lattice.num_states()
+        || actions != Action::COUNT
+    {
+        return Err(CkptError::Mismatch {
+            detail: "not a policy for this lattice".to_string(),
+        });
     }
-    let read_u64 = |buf: &[u8], at: &mut usize| -> Option<u64> {
-        take(buf, at, 8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    let fit = FitQuality {
+        r_squared: r.get_f64()?,
+        rmse: r.get_f64()?,
+        samples: r.get_usize()?,
     };
-    let read_f64 = |buf: &[u8], at: &mut usize| -> Option<f64> {
-        take(buf, at, 8).map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")))
-    };
-    let states = read_u64(&buf, &mut at)? as usize;
-    let actions = read_u64(&buf, &mut at)? as usize;
-    if states != lattice.num_states() || actions != Action::COUNT {
-        return None;
-    }
-    let r_squared = read_f64(&buf, &mut at)?;
-    let rmse = read_f64(&buf, &mut at)?;
-    let fit_samples = read_u64(&buf, &mut at)? as usize;
-    let samples = read_u64(&buf, &mut at)? as usize;
-    let passes = read_u64(&buf, &mut at)? as usize;
+    let samples = r.get_usize()?;
+    let passes = r.get_usize()?;
     let mut perf_ms = Vec::with_capacity(states);
     for _ in 0..states {
-        let b = take(&buf, &mut at, 4)?;
-        perf_ms.push(f32::from_le_bytes(b.try_into().expect("4 bytes")));
+        perf_ms.push(r.get_f32()?);
     }
-    let mut qtable = QTable::new(states, actions);
-    for s in 0..states {
-        for a in 0..actions {
-            let b = take(&buf, &mut at, 4)?;
-            qtable.set(
-                s,
-                a,
-                f32::from_le_bytes(b.try_into().expect("4 bytes")) as f64,
-            );
-        }
+    let mut values = Vec::with_capacity(states * actions);
+    for _ in 0..states * actions {
+        values.push(r.get_f32()?);
     }
-    if at != buf.len() {
-        return None;
-    }
-    Some(InitialPolicy {
-        qtable,
+    r.finish()?;
+    Ok(InitialPolicy {
+        qtable: QTable::from_raw(states, actions, values),
         perf_ms,
-        fit: FitQuality {
-            r_squared,
-            rmse,
-            samples: fit_samples,
-        },
+        fit,
         samples,
         passes,
     })
@@ -116,7 +98,7 @@ pub fn load_policy(path: &Path, lattice: &ConfigLattice) -> Option<InitialPolicy
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rac::{train_initial_policy, OfflineSettings, SlaReward};
+    use crate::{train_initial_policy, OfflineSettings, SlaReward};
 
     fn tiny_policy(lattice: &ConfigLattice) -> InitialPolicy {
         train_initial_policy(

@@ -1,5 +1,7 @@
-//! Crash-safe scenario runs: boundary callbacks for periodic
-//! snapshots, and deterministic resume by replay.
+//! The scenario interval loop, with boundary callbacks for periodic
+//! snapshots and deterministic resume by replay. Plain
+//! [`Experiment::run_scenario`] is the same loop with no resume and no
+//! stops.
 //!
 //! A full discrete-event-simulator state dump would be enormous and
 //! fragile; instead a checkpoint records only the *learned* state (the
@@ -16,13 +18,13 @@
 
 use ckpt::wire::{Reader, Writer};
 use ckpt::{CkptError, SnapshotWriter};
-use obs::trace;
+use obs::{trace, Event, Span};
 use scenario::{EventKind, Scenario};
 use websim::{PerfSample, ServerConfig, ThreeTierSystem};
 
 use crate::agent::{RacAgent, Tuner};
 use crate::baseline::{StaticDefault, TrialAndError};
-use crate::experiment::{sim_tier, Experiment, IterationRecord};
+use crate::experiment::{Experiment, IterationRecord};
 use crate::measure::{note_acquisition, MeasurementChannel};
 
 /// A tuner whose complete decision-relevant state can be serialized
@@ -71,8 +73,8 @@ pub struct ScenarioProgress {
 }
 
 /// Serializes an iteration series (shared by [`ScenarioProgress`] and
-/// the bench crate's whole-lineup checkpoint, which stores the series
-/// of every already-finished tuner).
+/// the whole-lineup checkpoint of [`crate::lineup`], which stores the
+/// series of every already-finished tuner).
 pub fn encode_series(w: &mut Writer, series: &[IterationRecord]) {
     w.put_usize(series.len());
     for rec in series {
@@ -180,8 +182,8 @@ impl Experiment {
     /// A run that is stopped at a boundary and later resumed produces
     /// byte-identical series and trace output to one that ran straight
     /// through, provided the caller restored the trace buffer and run
-    /// counter before resuming (the bench crate's checkpoint sink does
-    /// both).
+    /// counter before resuming (the line-up checkpoint sink in
+    /// [`crate::lineup`] does both).
     ///
     /// # Errors
     ///
@@ -198,6 +200,21 @@ impl Experiment {
             &dyn PersistTuner,
         ) -> Result<BoundaryAction, CkptError>,
     ) -> Result<ScenarioRunOutcome, CkptError> {
+        self.scenario_loop(scn, tuner, resume, |p, t| on_boundary(p, t))
+    }
+
+    /// The one scenario interval loop behind both
+    /// [`run_scenario`](Experiment::run_scenario) and
+    /// [`run_scenario_resumable`](Experiment::run_scenario_resumable):
+    /// replay the resumed prefix silently, then measure, let the tuner
+    /// decide, and reconfigure, once per interval.
+    pub(crate) fn scenario_loop<T: Tuner + ?Sized>(
+        &self,
+        scn: &Scenario,
+        tuner: &mut T,
+        resume: Option<ScenarioProgress>,
+        mut on_boundary: impl FnMut(&ScenarioProgress, &T) -> Result<BoundaryAction, CkptError>,
+    ) -> Result<ScenarioRunOutcome, CkptError> {
         let timeline = scn.compile();
         let iterations = scn.iterations();
         let mut progress = match resume {
@@ -213,13 +230,12 @@ impl Experiment {
                 p
             }
             None => {
-                // Fresh run: emit the same session header run_scenario
-                // writes, so the trace is indistinguishable.
+                // Fresh run: each tuning session is one trace *run*.
                 if trace::scoped() {
                     trace::begin_run();
                     trace::set_sim_time_us(0);
                     trace::emit(|| {
-                        obs::Event::new("experiment")
+                        Event::new("experiment")
                             .field("tuner", tuner.name())
                             .field("phases", 1u64)
                             .field("iterations", iterations as u64)
@@ -227,7 +243,7 @@ impl Experiment {
                             .field("warmup_s", self.warmup().as_secs_f64())
                     });
                     trace::emit(|| {
-                        obs::Event::new("phase")
+                        Event::new("phase")
                             .field("phase", 0u64)
                             .field("context", format!("scenario {}", scn.name))
                             .field("iterations", iterations as u64)
@@ -299,8 +315,12 @@ impl Experiment {
             });
         }
 
-        // Live from here: byte-for-byte the run_scenario loop, plus the
-        // boundary callback.
+        // Live from here. Each timeline event is applied at the start of
+        // the measurement interval containing it (events are authored
+        // relative to the end of warm-up); the interval is then
+        // simulated, measurement faults (outlier corruption, dropped
+        // intervals) are applied to the observed sample, and the
+        // possibly-corrupted sample is what the tuner sees.
         for iteration in progress.iterations_done..iterations {
             let start_us = iteration as u64 * interval_us;
             while let Some(ev) = timeline.events().get(next_event) {
@@ -309,7 +329,7 @@ impl Experiment {
                 }
                 trace::set_sim_time_us(warmup_us + ev.t.as_micros());
                 trace::emit(|| {
-                    obs::Event::new("scenario_event")
+                    Event::new("scenario_event")
                         .field("event", ev.kind.label())
                         .field("detail", ev.kind.to_string())
                 });
@@ -322,16 +342,22 @@ impl Experiment {
                 );
                 next_event += 1;
             }
+            // Wall-clock spans attribute time to phases of the
+            // iteration (metrics/profile only — never the trace).
             let acq = {
-                let _measure = obs::Span::start("measure");
+                let _measure = Span::start("measure");
                 channel.acquire(system.run_interval(self.interval()))
             };
             let sample = if drop_next {
+                // A dropped interval loses the outlier corruption too —
+                // there is nothing left to corrupt.
                 drop_next = false;
                 outlier = None;
                 PerfSample::empty()
             } else {
                 match acq.sample {
+                    // Failed acquisition: the sample (and any pending
+                    // outlier corruption of it) is lost.
                     None => {
                         outlier = None;
                         PerfSample::empty()
@@ -349,6 +375,8 @@ impl Experiment {
                     }
                 }
             };
+            // Decisions are stamped with the *end* of the interval they
+            // observed, so the trace orders by simulated time.
             let sim_us = warmup_us + (iteration as u64 + 1) * interval_us;
             trace::set_sim_time_us(sim_us);
             note_acquisition(&acq, iteration, channel.is_open());
@@ -366,12 +394,12 @@ impl Experiment {
             tuner.set_degraded(channel.is_open());
             if !channel.is_open() {
                 let next = {
-                    let _tuner = obs::Span::start("tuner");
+                    let _tuner = Span::start("tuner");
                     tuner.next_config(&sample)
                 };
                 if next != config {
                     trace::emit(|| {
-                        obs::Event::new("reconfigure")
+                        Event::new("reconfigure")
                             .field("iter", (iteration + 1) as u64)
                             .field("from", config.to_string())
                             .field("to", next.to_string())
@@ -407,7 +435,13 @@ fn apply_event(
         EventKind::MixStep(mix) => system.set_workload(system.clients(), *mix),
         EventKind::MixBlend { from, to, frac } => system.set_mix_blend(*from, *to, *frac),
         EventKind::Level(level) => system.set_resource_level(*level),
-        EventKind::Stall { tier, dur } => system.inject_stall(sim_tier(*tier), *dur),
+        EventKind::Stall { tier, dur } => {
+            let tier = match tier {
+                scenario::Tier::Web => websim::Tier::Web,
+                scenario::Tier::AppDb => websim::Tier::AppDb,
+            };
+            system.inject_stall(tier, *dur)
+        }
         EventKind::Noise(factor) => system.set_latency_factor(*factor),
         EventKind::Outlier(factor) => *outlier = Some(*factor),
         EventKind::Drop => *drop_next = true,
@@ -421,6 +455,13 @@ fn apply_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lineup::{
+        run_tuners, run_tuners_checkpointed, run_tuners_checkpointed_with, CheckpointOptions,
+        LineupCommand, LineupOutcome,
+    };
+    use crate::PolicyLibrary;
+    use ckpt::Snapshot;
+    use scenario::gen::{self, Difficulty};
     use websim::SystemSpec;
 
     fn scenario() -> Scenario {
@@ -435,48 +476,71 @@ mod tests {
         Experiment::for_scenario(SystemSpec::default(), scn)
     }
 
-    #[test]
-    fn resumable_matches_run_scenario_when_uninterrupted() {
-        let scn = scenario();
-        let exp = experiment(&scn);
-        let plain = exp.run_scenario(&scn, &mut StaticDefault::new());
+    /// Runs `scn` with a trial-and-error tuner until `stop_after`
+    /// iterations are done, rebuilds the tuner from its snapshot bytes
+    /// as a new process would, and resumes the run to completion.
+    fn stop_and_resume(exp: &Experiment, scn: &Scenario, stop_after: usize) -> ScenarioRunOutcome {
+        let mut snapshot_bytes = Vec::new();
         let outcome = exp
-            .run_scenario_resumable(&scn, &mut StaticDefault::new(), None, |_, _| {
-                Ok(BoundaryAction::Continue)
+            .run_scenario_resumable(scn, &mut TrialAndError::new(3), None, |p, tuner| {
+                if p.iterations_done < stop_after {
+                    return Ok(BoundaryAction::Continue);
+                }
+                let mut snap = SnapshotWriter::new();
+                tuner.save_state(&mut snap);
+                snapshot_bytes = snap.to_bytes();
+                Ok(BoundaryAction::Stop)
             })
             .unwrap();
-        assert_eq!(outcome, ScenarioRunOutcome::Complete(plain));
+        let ScenarioRunOutcome::Interrupted(progress) = outcome else {
+            panic!("run should stop after {stop_after} iterations");
+        };
+        assert_eq!(progress.iterations_done, stop_after);
+        let snap = Snapshot::from_bytes(&snapshot_bytes).unwrap();
+        let mut tuner = TrialAndError::restore(&snap).unwrap();
+        exp.run_scenario_resumable(scn, &mut tuner, Some(progress), |_, _| {
+            Ok(BoundaryAction::Continue)
+        })
+        .unwrap()
     }
 
     #[test]
     fn stop_resume_is_bit_identical_for_every_boundary() {
-        let scn = scenario();
-        let exp = experiment(&scn);
-        let full = exp.run_scenario(&scn, &mut StaticDefault::new());
-        for stop_after in 1..scn.iterations() {
-            let outcome = exp
-                .run_scenario_resumable(&scn, &mut StaticDefault::new(), None, |p, _| {
-                    Ok(if p.iterations_done >= stop_after {
-                        BoundaryAction::Stop
-                    } else {
-                        BoundaryAction::Continue
-                    })
-                })
-                .unwrap();
-            let ScenarioRunOutcome::Interrupted(progress) = outcome else {
-                panic!("run should stop after {stop_after} iterations");
-            };
-            assert_eq!(progress.iterations_done, stop_after);
-            let resumed = exp
-                .run_scenario_resumable(&scn, &mut StaticDefault::new(), Some(progress), |_, _| {
-                    Ok(BoundaryAction::Continue)
-                })
-                .unwrap();
-            assert_eq!(
-                resumed,
-                ScenarioRunOutcome::Complete(full.clone()),
-                "resume after iteration {stop_after} diverged"
+        // The hand-written scenario stops at every boundary. One
+        // generated draw per difficulty, each carrying heavy-tail and
+        // fault directives through the replay, stops at three seeded
+        // boundaries.
+        let mini = scenario();
+        let mut cases = vec![(mini.clone(), (1..mini.iterations()).collect::<Vec<_>>())];
+        let mut rng = simkernel::Pcg64::seed_from_u64(11);
+        for (seed, difficulty) in [
+            (1, Difficulty::Calm),
+            (1, Difficulty::Brisk),
+            (2, Difficulty::Stormy),
+        ] {
+            let scn = gen::generate(seed, difficulty).scaled(1, 5);
+            let text = scn.to_string();
+            assert!(
+                text.contains("\ntail ") && text.contains("\nfault "),
+                "{text}"
             );
+            let last = scn.iterations() as u64 - 1;
+            let stops = (0..3)
+                .map(|_| rng.range_inclusive(1, last) as usize)
+                .collect();
+            cases.push((scn, stops));
+        }
+        for (scn, stops) in cases {
+            let exp = experiment(&scn);
+            let full = exp.run_scenario(&scn, &mut TrialAndError::new(3));
+            for stop_after in stops {
+                assert_eq!(
+                    stop_and_resume(&exp, &scn, stop_after),
+                    ScenarioRunOutcome::Complete(full.clone()),
+                    "{}: resume after iteration {stop_after} diverged",
+                    scn.name
+                );
+            }
         }
     }
 
@@ -622,5 +686,173 @@ mod tests {
         let back = ScenarioProgress::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, progress);
+    }
+
+    // The checkpointed line-up (`crate::lineup`) drives this module's
+    // resumable loop once per tuner; its stop/resume contract is pinned
+    // here beside the single-tuner one.
+
+    fn tiny_scenario() -> Scenario {
+        Scenario::parse(
+            "name tiny\nduration 360s\ninterval 60s\nwarmup 60s\nclients 60\nseed 5\n\
+             at 60s intensity 1.4\nfault at 200s drop\n",
+        )
+        .unwrap()
+    }
+
+    fn tiny_library() -> PolicyLibrary {
+        // A fast single-context library at the standard lattice
+        // resolution (the checkpoint validates Q-table dimensions, so
+        // the lattice must match ONLINE_LEVELS).
+        crate::build_policy_library(
+            &crate::paper_system_spec().with_clients(60),
+            &[crate::paper_contexts()[0]],
+            &crate::standard_lattice(),
+            crate::SlaReward::new(crate::SLA_MS),
+            crate::TrainingOptions {
+                warmup: simkernel::SimDuration::from_secs(60),
+                measure: simkernel::SimDuration::from_secs(60),
+                ..crate::TrainingOptions::default()
+            },
+        )
+    }
+
+    #[test]
+    fn checkpointed_lineup_matches_plain_lineup_and_resumes_identically() {
+        let scn = tiny_scenario();
+        let library = tiny_library();
+        let dir = std::env::temp_dir().join(format!("rac-ckpt-test-{}", std::process::id()));
+        let plain = run_tuners(&scn, &library);
+
+        let opts = CheckpointOptions {
+            path: dir.join("full.ckpt"),
+            every: 4,
+            stop_after: None,
+        };
+        let full = match run_tuners_checkpointed(&scn, &library, &opts, None).unwrap() {
+            LineupOutcome::Complete(series) => series,
+            LineupOutcome::Interrupted { .. } => panic!("no stop requested"),
+        };
+        assert_eq!(full, plain, "checkpointing must not perturb the series");
+
+        // Interrupt at a mid-lineup boundary (tuner 1 mid-run) and at a
+        // non-schedule boundary (pending flush), then resume each.
+        for stop_after in [8usize, 7] {
+            let path = dir.join(format!("stop-{stop_after}.ckpt"));
+            let opts = CheckpointOptions {
+                path: path.clone(),
+                every: 4,
+                stop_after: Some(stop_after),
+            };
+            let outcome = run_tuners_checkpointed(&scn, &library, &opts, None).unwrap();
+            let LineupOutcome::Interrupted { global_iterations } = outcome else {
+                panic!("run should stop after {stop_after} lineup iterations");
+            };
+            assert_eq!(global_iterations, stop_after);
+
+            let snap = Snapshot::load(&path).unwrap();
+            let opts = CheckpointOptions {
+                path,
+                every: 4,
+                stop_after: None,
+            };
+            let resumed = match run_tuners_checkpointed(&scn, &library, &opts, Some(&snap)).unwrap()
+            {
+                LineupOutcome::Complete(series) => series,
+                LineupOutcome::Interrupted { .. } => panic!("resume should finish"),
+            };
+            assert_eq!(resumed, full, "resume after {stop_after} diverged");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn control_commands_checkpoint_stop_abort() {
+        let scn = tiny_scenario();
+        let library = tiny_library();
+        let dir = std::env::temp_dir().join(format!("rac-ckpt-ctl-{}", std::process::id()));
+        let plain = run_tuners(&scn, &library);
+
+        // Checkpoint-on-demand at boundary 3, graceful stop at 7. The
+        // schedule (every=1000) never fires, so any file on disk came
+        // from a control command.
+        let path = dir.join("ctl.ckpt");
+        let opts = CheckpointOptions {
+            path: path.clone(),
+            every: 1000,
+            stop_after: None,
+        };
+        let mut on_demand_seen = false;
+        let outcome = run_tuners_checkpointed_with(&scn, &library, &opts, None, |s| {
+            if s.global_iteration == 4 {
+                on_demand_seen = path.exists();
+            }
+            match s.global_iteration {
+                3 => LineupCommand::Checkpoint,
+                7 => LineupCommand::Stop,
+                _ => LineupCommand::Continue,
+            }
+        })
+        .unwrap();
+        let LineupOutcome::Interrupted { global_iterations } = outcome else {
+            panic!("control stop must interrupt the lineup");
+        };
+        assert_eq!(global_iterations, 7);
+        assert!(on_demand_seen, "on-demand checkpoint must hit disk");
+
+        // Resuming the stopped run converges to the plain series.
+        let snap = Snapshot::load(&path).unwrap();
+        let resumed = match run_tuners_checkpointed(&scn, &library, &opts, Some(&snap)).unwrap() {
+            LineupOutcome::Complete(series) => series,
+            LineupOutcome::Interrupted { .. } => panic!("resume should finish"),
+        };
+        assert_eq!(resumed, plain, "control-steered run diverged");
+
+        // Abort stops without touching disk — not even the drop rescue.
+        let path2 = dir.join("abort.ckpt");
+        let opts = CheckpointOptions {
+            path: path2.clone(),
+            every: 1000,
+            stop_after: None,
+        };
+        let outcome = run_tuners_checkpointed_with(&scn, &library, &opts, None, |s| {
+            if s.global_iteration == 2 {
+                LineupCommand::Abort
+            } else {
+                LineupCommand::Continue
+            }
+        })
+        .unwrap();
+        assert!(matches!(
+            outcome,
+            LineupOutcome::Interrupted {
+                global_iterations: 2
+            }
+        ));
+        assert!(!path2.exists(), "abort must never write");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_rejects_wrong_scenario() {
+        let scn = tiny_scenario();
+        let library = tiny_library();
+        let dir = std::env::temp_dir().join(format!("rac-ckpt-mism-{}", std::process::id()));
+        let path = dir.join("run.ckpt");
+        let opts = CheckpointOptions {
+            path: path.clone(),
+            every: 2,
+            stop_after: Some(2),
+        };
+        run_tuners_checkpointed(&scn, &library, &opts, None).unwrap();
+        let snap = Snapshot::load(&path).unwrap();
+
+        let other = Scenario::parse(
+            "name other\nduration 360s\ninterval 60s\nwarmup 60s\nclients 60\nseed 5\n",
+        )
+        .unwrap();
+        let err = run_tuners_checkpointed(&other, &library, &opts, Some(&snap)).unwrap_err();
+        assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,22 +3,21 @@
 //! the per-iteration series the paper's figures plot.
 //!
 //! Tuning sessions ([`Experiment::run`]) are inherently sequential —
-//! each decision depends on the previous interval. The *sweeps* the
-//! paper's static figures need ([`cross_workload`], [`cross_platform`],
-//! [`maxclients_sweep`]) are batches of independent measurements, so
-//! they fan out across the global parallel [`Runner`](crate::Runner)
-//! and return deterministic, submission-ordered results.
+//! each decision depends on the previous interval. The `MaxClients`
+//! sweep of the paper's Figure 2 ([`maxclients_sweep`]) is a batch of
+//! independent measurements, so it fans out across the global parallel
+//! [`Runner`](crate::Runner) and returns deterministic,
+//! submission-ordered results.
 
 use obs::{trace, Event, Span};
-use scenario::{EventKind, Scenario};
+use scenario::Scenario;
 use simkernel::SimDuration;
-use tpcw::Mix;
 use vmstack::ResourceLevel;
 use websim::{Param, PerfSample, ServerConfig, SystemSpec, ThreeTierSystem};
 
 use crate::agent::Tuner;
+use crate::checkpoint::{BoundaryAction, ScenarioRunOutcome};
 use crate::context::SystemContext;
-use crate::measure::{note_acquisition, MeasurementChannel};
 use crate::runner::{MeasureJob, Runner};
 
 /// One phase of an experiment: a system context held for a number of
@@ -273,143 +272,15 @@ impl Experiment {
     ///
     /// The run is sequential and uses no shared state, so the series is
     /// a pure function of (spec, scenario) and bit-identical at any
-    /// `RAC_THREADS` setting.
+    /// `RAC_THREADS` setting. It is the loop of
+    /// [`run_scenario_resumable`](Experiment::run_scenario_resumable)
+    /// with no resume and no stops.
     pub fn run_scenario(&self, scn: &Scenario, tuner: &mut dyn Tuner) -> Vec<IterationRecord> {
-        let timeline = scn.compile();
-        let iterations = scn.iterations();
-        if trace::scoped() {
-            trace::begin_run();
-            trace::set_sim_time_us(0);
-            trace::emit(|| {
-                Event::new("experiment")
-                    .field("tuner", tuner.name())
-                    .field("phases", 1u64)
-                    .field("iterations", iterations as u64)
-                    .field("interval_s", self.interval.as_secs_f64())
-                    .field("warmup_s", self.warmup.as_secs_f64())
-            });
-            trace::emit(|| {
-                Event::new("phase")
-                    .field("phase", 0u64)
-                    .field("context", format!("scenario {}", scn.name))
-                    .field("iterations", iterations as u64)
-            });
-        }
-        let mut system = ThreeTierSystem::new(self.spec.clone());
-        let mut config = ServerConfig::default();
-        system.set_config(config);
-        if !self.warmup.is_zero() {
-            let _ = system.run_interval(self.warmup);
-        }
-
-        let warmup_us = self.warmup.as_micros();
-        let mut series = Vec::with_capacity(iterations);
-        let mut next_event = 0usize;
-        let mut outlier: Option<f64> = None;
-        let mut drop_next = false;
-        let mut channel = MeasurementChannel::default();
-        for iteration in 0..iterations {
-            let start_us = iteration as u64 * self.interval.as_micros();
-            while let Some(ev) = timeline.events().get(next_event) {
-                if ev.t.as_micros() > start_us {
-                    break;
-                }
-                trace::set_sim_time_us(warmup_us + ev.t.as_micros());
-                trace::emit(|| {
-                    Event::new("scenario_event")
-                        .field("event", ev.kind.label())
-                        .field("detail", ev.kind.to_string())
-                });
-                match &ev.kind {
-                    EventKind::Intensity(scale) => system.set_intensity(*scale),
-                    EventKind::MixStep(mix) => system.set_workload(system.clients(), *mix),
-                    EventKind::MixBlend { from, to, frac } => {
-                        system.set_mix_blend(*from, *to, *frac)
-                    }
-                    EventKind::Level(level) => system.set_resource_level(*level),
-                    EventKind::Stall { tier, dur } => system.inject_stall(sim_tier(*tier), *dur),
-                    EventKind::Noise(factor) => system.set_latency_factor(*factor),
-                    EventKind::Outlier(factor) => outlier = Some(*factor),
-                    EventKind::Drop => drop_next = true,
-                    EventKind::Blackout(on) => channel.set_blackout(*on),
-                    EventKind::Timeout => channel.arm_timeout(),
-                    EventKind::ThinkTail(sigma) => system.set_think_tail(*sigma),
-                    EventKind::ServiceTail(sigma) => system.set_service_tail(*sigma),
-                }
-                next_event += 1;
-            }
-            let acq = {
-                let _measure = Span::start("measure");
-                channel.acquire(system.run_interval(self.interval))
-            };
-            let sample = if drop_next {
-                // A dropped interval loses the outlier corruption too —
-                // there is nothing left to corrupt.
-                drop_next = false;
-                outlier = None;
-                PerfSample::empty()
-            } else {
-                match acq.sample {
-                    // Failed acquisition: the sample (and any pending
-                    // outlier corruption of it) is lost.
-                    None => {
-                        outlier = None;
-                        PerfSample::empty()
-                    }
-                    Some(raw) => {
-                        if let Some(factor) = outlier.take() {
-                            PerfSample {
-                                mean_response_ms: raw.mean_response_ms * factor,
-                                p95_response_ms: raw.p95_response_ms * factor,
-                                ..raw
-                            }
-                        } else {
-                            raw
-                        }
-                    }
-                }
-            };
-            let sim_us = warmup_us + (iteration as u64 + 1) * self.interval.as_micros();
-            trace::set_sim_time_us(sim_us);
-            note_acquisition(&acq, iteration, channel.is_open());
-            series.push(IterationRecord {
-                iteration,
-                phase: 0,
-                response_ms: sample.mean_response_ms,
-                p95_ms: sample.p95_response_ms,
-                throughput_rps: sample.throughput_rps,
-                config,
-            });
-            if obs::enabled() {
-                obs::health::global().set_progress(iteration as u64 + 1, iterations as u64);
-            }
-            tuner.set_degraded(channel.is_open());
-            if !channel.is_open() {
-                let next = {
-                    let _tuner = Span::start("tuner");
-                    tuner.next_config(&sample)
-                };
-                if next != config {
-                    trace::emit(|| {
-                        Event::new("reconfigure")
-                            .field("iter", (iteration + 1) as u64)
-                            .field("from", config.to_string())
-                            .field("to", next.to_string())
-                    });
-                    system.set_config(next);
-                    config = next;
-                }
-            }
-        }
+        let outcome = self.scenario_loop(scn, tuner, None, |_, _| Ok(BoundaryAction::Continue));
+        let Ok(ScenarioRunOutcome::Complete(series)) = outcome else {
+            unreachable!("a fresh run that never stops always completes");
+        };
         series
-    }
-}
-
-/// Maps the scenario crate's tier naming onto the simulator's.
-pub(crate) fn sim_tier(tier: scenario::Tier) -> websim::Tier {
-    match tier {
-        scenario::Tier::Web => websim::Tier::Web,
-        scenario::Tier::AppDb => websim::Tier::AppDb,
     }
 }
 
@@ -433,57 +304,6 @@ pub fn series_mean(records: &[IterationRecord]) -> f64 {
         return f64::INFINITY;
     }
     finite.iter().sum::<f64>() / finite.len() as f64
-}
-
-/// Measures one configuration under every TPC-W mix (workload
-/// heterogeneity, the axis of the paper's Figure 3), as one parallel
-/// batch through the global runner.
-///
-/// # Example
-///
-/// ```
-/// use rac::cross_workload;
-/// use simkernel::SimDuration;
-/// use websim::{ServerConfig, SystemSpec};
-///
-/// let rows = cross_workload(
-///     &SystemSpec::default().with_clients(30),
-///     ServerConfig::default(),
-///     SimDuration::from_secs(10),
-///     SimDuration::from_secs(30),
-/// );
-/// assert_eq!(rows.len(), 3);
-/// assert!(rows.iter().all(|(_, s)| s.is_measurable()));
-/// ```
-pub fn cross_workload(
-    spec: &SystemSpec,
-    config: ServerConfig,
-    warmup: SimDuration,
-    measure: SimDuration,
-) -> Vec<(Mix, PerfSample)> {
-    let jobs: Vec<MeasureJob> = Mix::ALL
-        .iter()
-        .map(|&mix| MeasureJob::new(spec.clone().with_mix(mix), config, warmup, measure))
-        .collect();
-    let samples = Runner::global().run(&jobs);
-    Mix::ALL.into_iter().zip(samples).collect()
-}
-
-/// Measures one configuration at every app/db VM resource level
-/// (platform heterogeneity, the paper's Figure 4 axis), as one parallel
-/// batch through the global runner.
-pub fn cross_platform(
-    spec: &SystemSpec,
-    config: ServerConfig,
-    warmup: SimDuration,
-    measure: SimDuration,
-) -> Vec<(ResourceLevel, PerfSample)> {
-    let jobs: Vec<MeasureJob> = ResourceLevel::ALL
-        .iter()
-        .map(|&level| MeasureJob::new(spec.clone().with_level(level), config, warmup, measure))
-        .collect();
-    let samples = Runner::global().run(&jobs);
-    ResourceLevel::ALL.into_iter().zip(samples).collect()
 }
 
 /// Sweeps `MaxClients` (the paper's single most sensitive parameter,
@@ -651,26 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_platform_orders_levels_and_degrades() {
-        let spec = SystemSpec::default().with_clients(300).with_seed(11);
-        let rows = cross_platform(
-            &spec,
-            ServerConfig::default(),
-            SimDuration::from_secs(120),
-            SimDuration::from_secs(120),
-        );
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].0, ResourceLevel::Level1);
-        assert_eq!(rows[2].0, ResourceLevel::Level3);
-        assert!(
-            rows[2].1.mean_response_ms > rows[0].1.mean_response_ms,
-            "Level 3 ({:.0}ms) should be slower than Level 1 ({:.0}ms)",
-            rows[2].1.mean_response_ms,
-            rows[0].1.mean_response_ms
-        );
-    }
-
-    #[test]
     fn maxclients_sweep_covers_the_grid_in_order() {
         let spec = SystemSpec::default().with_clients(40).with_seed(13);
         let values = [5, 300, 600];
@@ -686,19 +486,5 @@ mod tests {
             assert_eq!(level, [ResourceLevel::Level1, ResourceLevel::Level2][i / 3]);
             assert_eq!(v, values[i % 3]);
         }
-    }
-
-    #[test]
-    fn cross_workload_covers_all_mixes() {
-        let spec = SystemSpec::default().with_clients(30).with_seed(17);
-        let rows = cross_workload(
-            &spec,
-            ServerConfig::default(),
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(30),
-        );
-        let mixes: Vec<Mix> = rows.iter().map(|&(m, _)| m).collect();
-        assert_eq!(mixes, Mix::ALL.to_vec());
-        assert!(rows.iter().all(|(_, s)| s.is_measurable()));
     }
 }

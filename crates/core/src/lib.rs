@@ -49,6 +49,11 @@
 //! }
 //! ```
 //!
+//! The canonical testbed ([`paper_system_spec`], [`standard_settings`],
+//! the disk-cached [`standard_policy_library`]) and the standard
+//! three-tuner [`lineup`], bare or checkpointed, are what both the
+//! reproduction harness and the `racd` daemon run.
+//!
 //! See the repository's `examples/` for realistic scenarios (adaptive
 //! tuning across context changes, the offline initialization pipeline,
 //! capacity planning) and the `rac-bench` crate for the full
@@ -58,36 +63,35 @@ mod action;
 mod agent;
 mod analysis;
 mod baseline;
+pub mod cache;
 mod checkpoint;
 mod context;
 mod experiment;
 pub mod grouping;
 mod guardrail;
 mod init;
+pub mod lineup;
 mod mdp;
 mod measure;
+pub mod output;
 mod param;
 mod persist;
 mod reward;
 pub mod runner;
 mod sensitivity;
+mod testbed;
 mod training;
 
 pub use action::Action;
 pub use agent::{AgentError, RacAgent, RacSettings, Tuner};
-pub use analysis::{
-    convergence_iteration, improvement_percent, response_series, summarize_series, SeriesSummary,
-};
+pub use analysis::{convergence_iteration, response_series};
 pub use baseline::{StaticDefault, TrialAndError};
 pub use checkpoint::{
     decode_series, encode_series, BoundaryAction, PersistTuner, ScenarioProgress,
     ScenarioRunOutcome,
 };
 pub use context::{paper_contexts, PolicyLibrary, SystemContext, ViolationDetector};
-pub use experiment::{
-    cross_platform, cross_workload, maxclients_sweep, series_mean, ContextPhase, Experiment,
-    IterationRecord,
-};
+pub use experiment::{maxclients_sweep, series_mean, ContextPhase, Experiment, IterationRecord};
 pub use guardrail::{GuardDecision, GuardSettings, RollbackGuard};
 pub use init::{train_initial_policy, InitialPolicy, OfflineSettings};
 pub use mdp::ConfigMdp;
@@ -102,4 +106,29 @@ pub use persist::{
 pub use reward::SlaReward;
 pub use runner::{Measure, MeasureJob, Runner, SimMeasurer};
 pub use sensitivity::{analyze_sensitivity, select_parameters, ParamSensitivity};
+pub use testbed::{
+    daemon_quick_library, paper_system_spec, quick_policy_library, standard_lattice,
+    standard_policy_library, standard_settings, standard_training_options, ONLINE_LEVELS, SLA_MS,
+};
 pub use training::{build_policy_library, train_policy_for_context, TrainingOptions};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spec_and_settings_consistent() {
+        let spec = paper_system_spec();
+        assert_eq!(spec.clients, 600);
+        let s = standard_settings();
+        assert_eq!(s.online_levels, ONLINE_LEVELS);
+        assert_eq!(standard_lattice().levels(), ONLINE_LEVELS);
+    }
+
+    #[test]
+    fn quick_library_builds() {
+        let contexts = [paper_contexts()[0]];
+        let lib = quick_policy_library(&contexts);
+        assert_eq!(lib.len(), 1);
+    }
+}

@@ -1,7 +1,15 @@
-//! Crash-safe scenario lineups: one checkpoint file spans the whole
-//! three-tuner run of `figures scenario --checkpoint`.
+//! The standard three-tuner line-up — RAC seeded from the offline
+//! policy library, trial-and-error, and the static default — run one
+//! tuner after another through a scenario, bare ([`run_tuners`]) or
+//! with crash-safe checkpoints ([`run_tuners_checkpointed_with`]).
 //!
-//! The snapshot holds the lineup cursor (which tuner is active), the
+//! Everything here is deliberately sequential: a scenario run must be a
+//! pure function of (spec, scenario, seed), bit-identical at any
+//! `RAC_THREADS` setting, so the tuners run one after another instead
+//! of fanning out over the global runner.
+//!
+//! One checkpoint file spans the whole checkpointed line-up. The
+//! snapshot holds the line-up cursor (which tuner is active), the
 //! series of every finished tuner, the active tuner's
 //! [`ScenarioProgress`] and learned state, and the serialized decision
 //! trace prefix. Resuming restores all of that, replays the active
@@ -30,13 +38,19 @@ use std::time::Instant;
 
 use ckpt::{CkptError, Snapshot, SnapshotWriter};
 use obs::trace;
-use rac::{
-    decode_series, encode_series, BoundaryAction, Experiment, IterationRecord, PersistTuner,
-    PolicyLibrary, RacAgent, ScenarioProgress, ScenarioRunOutcome, StaticDefault, TrialAndError,
-};
 use scenario::Scenario;
 
-use crate::{paper_system_spec, standard_settings, ONLINE_LEVELS};
+use crate::agent::RacAgent;
+use crate::baseline::{StaticDefault, TrialAndError};
+use crate::checkpoint::{
+    decode_series, encode_series, BoundaryAction, PersistTuner, ScenarioProgress,
+    ScenarioRunOutcome,
+};
+use crate::context::PolicyLibrary;
+use crate::experiment::{Experiment, IterationRecord};
+use crate::output::TextTable;
+use crate::persist::library_to_snapshot;
+use crate::testbed::{paper_system_spec, standard_settings, ONLINE_LEVELS};
 
 /// Display names of the standard tuner lineup, in run order.
 pub const LINEUP: [&str; 3] = ["RAC", "trial-and-error", "static default"];
@@ -61,8 +75,7 @@ pub struct CheckpointOptions {
 /// How a checkpointed lineup run ended.
 #[derive(Debug)]
 pub enum LineupOutcome {
-    /// All three tuners ran; same shape as
-    /// [`run_tuners`](crate::scenario::run_tuners).
+    /// All three tuners ran; same shape as [`run_tuners`].
     Complete(Vec<(&'static str, Vec<IterationRecord>)>),
     /// `stop_after` hit or the control callback asked to stop; the
     /// snapshot on disk resumes the run (unless the stop was an
@@ -109,12 +122,43 @@ pub enum LineupCommand {
     Abort,
 }
 
+/// Runs the standard tuner line-up through one scenario, returning
+/// each tuner's series under its display name.
+pub fn run_tuners(
+    scn: &Scenario,
+    library: &PolicyLibrary,
+) -> Vec<(&'static str, Vec<IterationRecord>)> {
+    run_tuners_with(scn, library, |_| {})
+}
+
+/// [`run_tuners`] with an `after_each(name)` callback invoked as each
+/// tuner's session completes. Live `--serve` runs use it to flush the
+/// growing trace to disk between sessions (the serialized trace is
+/// prefix-stable, so mid-run flushes are prefixes of the final file);
+/// the callback cannot see or influence the runs themselves.
+pub fn run_tuners_with<F: FnMut(&'static str)>(
+    scn: &Scenario,
+    library: &PolicyLibrary,
+    mut after_each: F,
+) -> Vec<(&'static str, Vec<IterationRecord>)> {
+    let exp = Experiment::for_scenario(paper_system_spec(), scn);
+    LINEUP
+        .iter()
+        .enumerate()
+        .map(|(index, &name)| {
+            let series = exp.run_scenario(scn, fresh_tuner(index, library).as_mut());
+            after_each(name);
+            (name, series)
+        })
+        .collect()
+}
+
 /// Runs the standard tuner lineup through one scenario with periodic
 /// snapshots, optionally resuming a previous run's snapshot.
 ///
-/// Byte-identical to [`run_tuners`](crate::scenario::run_tuners) in
-/// series and trace output — checkpointing only *adds* the
-/// deterministic `checkpoint` trace events.
+/// Byte-identical to [`run_tuners`] in series and trace output —
+/// checkpointing only *adds* the deterministic `checkpoint` trace
+/// events.
 ///
 /// # Errors
 ///
@@ -387,7 +431,7 @@ fn encode_lineup(
         // later tuner is active, persist the lineup's library here so
         // any snapshot of the run — including the final one — can seed
         // a warm start.
-        rac::library_to_snapshot(&mut snap, library);
+        library_to_snapshot(&mut snap, library);
     }
     let prefix = trace::snapshot_serialized();
     snap.section(SECTION_TRACE, |w| {
@@ -479,171 +523,29 @@ fn decode_lineup(snap: &Snapshot, spec_fp: u64, scn_fp: u64) -> Result<ResumedLi
     })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny_scenario() -> Scenario {
-        Scenario::parse(
-            "name tiny\nduration 360s\ninterval 60s\nwarmup 60s\nclients 60\nseed 5\n\
-             at 60s intensity 1.4\nfault at 200s drop\n",
-        )
-        .unwrap()
-    }
-
-    fn tiny_library() -> PolicyLibrary {
-        // A fast single-context library at the standard lattice
-        // resolution (the checkpoint validates Q-table dimensions, so
-        // the lattice must match ONLINE_LEVELS).
-        rac::build_policy_library(
-            &paper_system_spec().with_clients(60),
-            &[rac::paper_contexts()[0]],
-            &crate::standard_lattice(),
-            rac::SlaReward::new(crate::SLA_MS),
-            rac::TrainingOptions {
-                warmup: simkernel::SimDuration::from_secs(60),
-                measure: simkernel::SimDuration::from_secs(60),
-                ..rac::TrainingOptions::default()
-            },
-        )
-    }
-
-    #[test]
-    fn checkpointed_lineup_matches_plain_lineup_and_resumes_identically() {
-        let scn = tiny_scenario();
-        let library = tiny_library();
-        let dir = std::env::temp_dir().join(format!("rac-ckpt-test-{}", std::process::id()));
-        let plain = crate::scenario::run_tuners(&scn, &library);
-
-        let opts = CheckpointOptions {
-            path: dir.join("full.ckpt"),
-            every: 4,
-            stop_after: None,
-        };
-        let full = match run_tuners_checkpointed(&scn, &library, &opts, None).unwrap() {
-            LineupOutcome::Complete(series) => series,
-            LineupOutcome::Interrupted { .. } => panic!("no stop requested"),
-        };
-        assert_eq!(full, plain, "checkpointing must not perturb the series");
-
-        // Interrupt at a mid-lineup boundary (tuner 1 mid-run) and at a
-        // non-schedule boundary (pending flush), then resume each.
-        for stop_after in [8usize, 7] {
-            let path = dir.join(format!("stop-{stop_after}.ckpt"));
-            let opts = CheckpointOptions {
-                path: path.clone(),
-                every: 4,
-                stop_after: Some(stop_after),
-            };
-            let outcome = run_tuners_checkpointed(&scn, &library, &opts, None).unwrap();
-            let LineupOutcome::Interrupted { global_iterations } = outcome else {
-                panic!("run should stop after {stop_after} lineup iterations");
-            };
-            assert_eq!(global_iterations, stop_after);
-
-            let snap = Snapshot::load(&path).unwrap();
-            let opts = CheckpointOptions {
-                path,
-                every: 4,
-                stop_after: None,
-            };
-            let resumed = match run_tuners_checkpointed(&scn, &library, &opts, Some(&snap)).unwrap()
-            {
-                LineupOutcome::Complete(series) => series,
-                LineupOutcome::Interrupted { .. } => panic!("resume should finish"),
-            };
-            assert_eq!(resumed, full, "resume after {stop_after} diverged");
+/// The per-iteration scenario table: interval start time and offered
+/// client population alongside each tuner's mean response time.
+pub fn scenario_table(scn: &Scenario, series: &[(&str, Vec<IterationRecord>)]) -> TextTable {
+    let base = scn.clients.unwrap_or_else(|| paper_system_spec().clients);
+    let clients = scn.offered_clients(base);
+    let mut headers = vec!["iteration", "t_s", "clients"];
+    headers.extend(series.iter().map(|(n, _)| *n));
+    let mut t = TextTable::new(&headers);
+    for i in 0..scn.iterations() {
+        let t_s = i as u64 * scn.interval.as_micros() / 1_000_000;
+        let mut cells = vec![
+            i.to_string(),
+            t_s.to_string(),
+            clients.get(i).map(|c| c.to_string()).unwrap_or_default(),
+        ];
+        for (_, s) in series {
+            cells.push(
+                s.get(i)
+                    .map(|r| format!("{:.1}", r.response_ms))
+                    .unwrap_or_default(),
+            );
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        t.row(&cells);
     }
-
-    #[test]
-    fn control_commands_checkpoint_stop_abort() {
-        let scn = tiny_scenario();
-        let library = tiny_library();
-        let dir = std::env::temp_dir().join(format!("rac-ckpt-ctl-{}", std::process::id()));
-        let plain = crate::scenario::run_tuners(&scn, &library);
-
-        // Checkpoint-on-demand at boundary 3, graceful stop at 7. The
-        // schedule (every=1000) never fires, so any file on disk came
-        // from a control command.
-        let path = dir.join("ctl.ckpt");
-        let opts = CheckpointOptions {
-            path: path.clone(),
-            every: 1000,
-            stop_after: None,
-        };
-        let mut on_demand_seen = false;
-        let outcome = run_tuners_checkpointed_with(&scn, &library, &opts, None, |s| {
-            if s.global_iteration == 4 {
-                on_demand_seen = path.exists();
-            }
-            match s.global_iteration {
-                3 => LineupCommand::Checkpoint,
-                7 => LineupCommand::Stop,
-                _ => LineupCommand::Continue,
-            }
-        })
-        .unwrap();
-        let LineupOutcome::Interrupted { global_iterations } = outcome else {
-            panic!("control stop must interrupt the lineup");
-        };
-        assert_eq!(global_iterations, 7);
-        assert!(on_demand_seen, "on-demand checkpoint must hit disk");
-
-        // Resuming the stopped run converges to the plain series.
-        let snap = Snapshot::load(&path).unwrap();
-        let resumed = match run_tuners_checkpointed(&scn, &library, &opts, Some(&snap)).unwrap() {
-            LineupOutcome::Complete(series) => series,
-            LineupOutcome::Interrupted { .. } => panic!("resume should finish"),
-        };
-        assert_eq!(resumed, plain, "control-steered run diverged");
-
-        // Abort stops without touching disk — not even the drop rescue.
-        let path2 = dir.join("abort.ckpt");
-        let opts = CheckpointOptions {
-            path: path2.clone(),
-            every: 1000,
-            stop_after: None,
-        };
-        let outcome = run_tuners_checkpointed_with(&scn, &library, &opts, None, |s| {
-            if s.global_iteration == 2 {
-                LineupCommand::Abort
-            } else {
-                LineupCommand::Continue
-            }
-        })
-        .unwrap();
-        assert!(matches!(
-            outcome,
-            LineupOutcome::Interrupted {
-                global_iterations: 2
-            }
-        ));
-        assert!(!path2.exists(), "abort must never write");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_rejects_wrong_scenario() {
-        let scn = tiny_scenario();
-        let library = tiny_library();
-        let dir = std::env::temp_dir().join(format!("rac-ckpt-mism-{}", std::process::id()));
-        let path = dir.join("run.ckpt");
-        let opts = CheckpointOptions {
-            path: path.clone(),
-            every: 2,
-            stop_after: Some(2),
-        };
-        run_tuners_checkpointed(&scn, &library, &opts, None).unwrap();
-        let snap = Snapshot::load(&path).unwrap();
-
-        let other = Scenario::parse(
-            "name other\nduration 360s\ninterval 60s\nwarmup 60s\nclients 60\nseed 5\n",
-        )
-        .unwrap();
-        let err = run_tuners_checkpointed(&other, &library, &opts, Some(&snap)).unwrap_err();
-        assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    t
 }

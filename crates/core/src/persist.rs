@@ -180,18 +180,9 @@ pub(crate) fn decode_library(
     Ok(lib)
 }
 
-/// Extracts the policy library embedded in a [`RacAgent`] snapshot —
-/// the warm-start path: a fresh run seeds its agent with the library a
-/// previous run learned with, without restoring any online state.
-///
-/// # Errors
-///
-/// Returns [`CkptError::MissingSection`] when the snapshot has no
-/// agent library section, [`CkptError::Mismatch`] when the agent ran
-/// without a policy library, and decoding errors as usual.
 /// Writes a policy library into a snapshot under the same section and
 /// layout a [`RacAgent`](crate::RacAgent) saves its own library with,
-/// so [`library_from_snapshot`] reads either source. The bench lineup
+/// so [`library_from_snapshot`] reads either source. The line-up
 /// checkpoint uses this to keep the library warm-startable even in
 /// snapshots taken while a library-less tuner is active.
 ///
@@ -213,18 +204,18 @@ pub fn library_to_snapshot(snap: &mut SnapshotWriter, lib: &PolicyLibrary) {
     });
 }
 
+/// Extracts the policy library embedded in a [`RacAgent`](crate::RacAgent)
+/// snapshot — the warm-start path: a fresh run seeds its agent with the
+/// library a previous run learned with, without restoring any online
+/// state. The library keeps the lattice shape it was stored with.
+///
+/// # Errors
+///
+/// Returns [`CkptError::MissingSection`] when the snapshot has no
+/// agent library section, [`CkptError::Mismatch`] when the agent ran
+/// without a policy library, and decoding errors as usual.
 pub fn library_from_snapshot(snap: &Snapshot) -> Result<PolicyLibrary, CkptError> {
-    let mut r = snap.section(crate::agent::SECTION_LIBRARY)?;
-    if !r.get_bool()? {
-        return Err(CkptError::Mismatch {
-            detail: "checkpointed agent had no policy library to warm-start from".to_string(),
-        });
-    }
-    let states = r.get_usize()?;
-    let actions = r.get_usize()?;
-    let lib = decode_library(&mut r, states, actions)?;
-    r.finish()?;
-    Ok(lib)
+    read_library(snap, None)
 }
 
 /// Like [`library_from_snapshot`], but additionally requires the stored
@@ -235,10 +226,24 @@ pub fn library_from_snapshot(snap: &Snapshot) -> Result<PolicyLibrary, CkptError
 /// (its shape header is self-consistent) but would blow up later inside
 /// agent construction; checking here turns that into a typed
 /// [`CkptError::Mismatch`] before any policy is handed out.
+///
+/// # Errors
+///
+/// As [`library_from_snapshot`], plus [`CkptError::Mismatch`] when the
+/// shapes differ.
 pub fn library_from_snapshot_checked(
     snap: &Snapshot,
     states: usize,
     actions: usize,
+) -> Result<PolicyLibrary, CkptError> {
+    read_library(snap, Some((states, actions)))
+}
+
+/// Decodes the agent library section, checking its shape header
+/// against `expected` when given.
+fn read_library(
+    snap: &Snapshot,
+    expected: Option<(usize, usize)>,
 ) -> Result<PolicyLibrary, CkptError> {
     let mut r = snap.section(crate::agent::SECTION_LIBRARY)?;
     if !r.get_bool()? {
@@ -246,13 +251,14 @@ pub fn library_from_snapshot_checked(
             detail: "checkpointed agent had no policy library to warm-start from".to_string(),
         });
     }
-    let got_states = r.get_usize()?;
-    let got_actions = r.get_usize()?;
-    if (got_states, got_actions) != (states, actions) {
+    let got = (r.get_usize()?, r.get_usize()?);
+    let (states, actions) = expected.unwrap_or(got);
+    if got != (states, actions) {
         return Err(CkptError::Mismatch {
             detail: format!(
-                "warm-start library trained on a {got_states}x{got_actions} lattice, \
-                 this run's lattice is {states}x{actions}"
+                "warm-start library trained on a {}x{} lattice, \
+                 this run's lattice is {states}x{actions}",
+                got.0, got.1
             ),
         });
     }

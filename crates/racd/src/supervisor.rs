@@ -19,7 +19,7 @@
 //! ## Crash recovery contract
 //!
 //! Every attempt runs the lineup through
-//! [`rac_bench::checkpoint::run_tuners_checkpointed_with`], whose
+//! [`rac::lineup::run_tuners_checkpointed_with`], whose
 //! periodic flushes are a pure function of the global iteration. A
 //! relaunch (after SIGKILL, a panic, or a hang) sweeps any torn
 //! `.tmp`, resumes from the committed snapshot, and replays — so the
@@ -39,10 +39,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rac::PolicyLibrary;
-use rac_bench::checkpoint::{
-    run_tuners_checkpointed_with, CheckpointOptions, LineupCommand, LineupOutcome,
+use rac::lineup::{
+    run_tuners_checkpointed_with, CheckpointOptions, LineupCommand, LineupOutcome, LineupStatus,
 };
+use rac::PolicyLibrary;
 use scenario::Scenario;
 
 use crate::admin::{AdminCmd, AdminServer};
@@ -203,7 +203,7 @@ fn upgrade(state: &Arc<ControlState>, path: &str) -> String {
         Ok(snap) => snap,
         Err(e) => return format!("err snapshot-unreadable {path}: {e}"),
     };
-    let states = rac_bench::standard_lattice().num_states();
+    let states = rac::standard_lattice().num_states();
     match rac::library_from_snapshot_checked(&snap, states, rac::Action::COUNT) {
         Ok(lib) => {
             let n = lib.len();
@@ -579,8 +579,8 @@ fn run_attempt(
     let library = match state.library_override.lock().unwrap().clone() {
         Some(lib) => lib,
         None => match cfg.library {
-            LibraryKind::Quick => rac_bench::daemon_quick_library(&cfg.cache_dir),
-            LibraryKind::Standard => rac_bench::standard_policy_library(&cfg.cache_dir),
+            LibraryKind::Quick => rac::daemon_quick_library(&cfg.cache_dir),
+            LibraryKind::Standard => rac::standard_policy_library(&cfg.cache_dir),
         },
     };
     let options = CheckpointOptions {
@@ -592,7 +592,7 @@ fn run_attempt(
     let first_attempt_window = state.restarts_total.load(Ordering::Relaxed) == 0;
 
     let run = |writer: Option<&Arc<obs::TraceWriter>>| -> AttemptOutcome {
-        let control = |status: &rac_bench::checkpoint::LineupStatus| -> LineupCommand {
+        let control = |status: &LineupStatus| -> LineupCommand {
             if state.attempt.load(Ordering::SeqCst) != attempt_id {
                 return LineupCommand::Abort;
             }
@@ -690,9 +690,7 @@ fn write_outputs(
     series: &[(&'static str, Vec<rac::IterationRecord>)],
     trace: Option<&str>,
 ) -> Result<(), String> {
-    let named: Vec<(&str, Vec<rac::IterationRecord>)> =
-        series.iter().map(|(n, s)| (*n, s.clone())).collect();
-    let table = rac_bench::scenario::scenario_table(scn, &named);
+    let table = rac::lineup::scenario_table(scn, series);
     let csv_path = cfg.results_dir.join(format!("scenario-{}.csv", scn.name));
     table
         .write_csv(&csv_path)
@@ -776,7 +774,7 @@ mod tests {
         let state = empty_state(&dir);
         // A library snapshot at the WRONG lattice (3 levels instead of
         // the standard 4) must be vetoed.
-        let lib = rac_bench::quick_policy_library(&[rac::paper_contexts()[0]]);
+        let lib = rac::quick_policy_library(&[rac::paper_contexts()[0]]);
         let mut w = ckpt::SnapshotWriter::new();
         rac::library_to_snapshot(&mut w, &lib);
         let bad = dir.join("bad-lattice.ckpt");
@@ -785,7 +783,7 @@ mod tests {
         assert!(reply.starts_with("err lattice-mismatch"), "got: {reply}");
         assert!(state.library_override.lock().unwrap().is_none());
         // A matching-lattice snapshot is accepted.
-        let lib = rac_bench::daemon_quick_library(&dir.join("cache"));
+        let lib = rac::daemon_quick_library(&dir.join("cache"));
         let mut w = ckpt::SnapshotWriter::new();
         rac::library_to_snapshot(&mut w, &lib);
         let good = dir.join("good-lattice.ckpt");

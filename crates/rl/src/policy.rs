@@ -1,4 +1,4 @@
-//! Action-selection policies.
+//! Action selection.
 
 use simkernel::Pcg64;
 
@@ -54,44 +54,6 @@ impl EpsilonGreedy {
     }
 }
 
-/// Softmax (Boltzmann) selection: actions are drawn with probability
-/// proportional to `exp(Q(s,a)/τ)`.
-///
-/// Included as an alternative exploration scheme for ablations; the
-/// paper itself uses ε-greedy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Softmax {
-    temperature: f64,
-}
-
-impl Softmax {
-    /// Creates a policy with temperature `τ` (higher = more uniform).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `temperature` is not positive and finite.
-    pub fn new(temperature: f64) -> Self {
-        assert!(
-            temperature.is_finite() && temperature > 0.0,
-            "temperature must be positive"
-        );
-        Softmax { temperature }
-    }
-
-    /// Chooses an action for state `s`.
-    pub fn choose(&self, q: &QTable, s: usize, rng: &mut Pcg64) -> usize {
-        let n = q.actions();
-        // Subtract the max for numerical stability.
-        let max = (0..n)
-            .map(|a| q.get(s, a))
-            .fold(f64::NEG_INFINITY, f64::max);
-        let weights: Vec<f64> = (0..n)
-            .map(|a| ((q.get(s, a) - max) / self.temperature).exp())
-            .collect();
-        rng.weighted_index(&weights)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,41 +103,8 @@ mod tests {
     }
 
     #[test]
-    fn softmax_prefers_high_q() {
-        let q = table();
-        let mut rng = Pcg64::seed_from_u64(6);
-        let p = Softmax::new(1.0);
-        let mut counts = [0u32; 4];
-        for _ in 0..10_000 {
-            counts[p.choose(&q, 0, &mut rng)] += 1;
-        }
-        assert!(counts[1] > counts[0]);
-        assert!(counts[1] > counts[2]);
-    }
-
-    #[test]
-    fn softmax_high_temperature_flattens() {
-        let q = table();
-        let mut rng = Pcg64::seed_from_u64(7);
-        let p = Softmax::new(1e6);
-        let mut counts = [0u32; 4];
-        for _ in 0..40_000 {
-            counts[p.choose(&q, 0, &mut rng)] += 1;
-        }
-        for c in counts {
-            assert!((8_000..12_000).contains(&c), "count {c}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "epsilon")]
     fn bad_epsilon_panics() {
         EpsilonGreedy::new(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "temperature")]
-    fn bad_temperature_panics() {
-        Softmax::new(0.0);
     }
 }
