@@ -4,7 +4,6 @@
 
 use std::path::Path;
 
-use rac::IterationRecord;
 use scenario::Scenario;
 
 pub use rac::lineup::{run_tuners, scenario_table};
@@ -97,23 +96,10 @@ pub fn resolve(arg: &str) -> Result<Scenario, ResolveError> {
     Ok(scn)
 }
 
-/// Mean over the finite samples of a series (dropped intervals record an
-/// infinite response time and would otherwise poison the mean).
-pub fn finite_mean(series: &[IterationRecord]) -> f64 {
-    let finite: Vec<f64> = series
-        .iter()
-        .map(|r| r.response_ms)
-        .filter(|x| x.is_finite())
-        .collect();
-    if finite.is_empty() {
-        return f64::NAN;
-    }
-    finite.iter().sum::<f64>() / finite.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rac::IterationRecord;
 
     #[test]
     fn resolve_finds_bundled_and_rejects_garbage() {
@@ -146,20 +132,5 @@ mod tests {
             .max()
             .unwrap();
         assert!(peak > 400, "spike must lift clients above base: {peak}");
-    }
-
-    #[test]
-    fn finite_mean_skips_dropped_intervals() {
-        let rec = |rt: f64| IterationRecord {
-            iteration: 0,
-            phase: 0,
-            response_ms: rt,
-            p95_ms: rt,
-            throughput_rps: 0.0,
-            config: websim::ServerConfig::default(),
-        };
-        let series = [rec(100.0), rec(f64::INFINITY), rec(200.0)];
-        assert!((finite_mean(&series) - 150.0).abs() < 1e-9);
-        assert!(finite_mean(&[]).is_nan());
     }
 }

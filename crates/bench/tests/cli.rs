@@ -74,3 +74,16 @@ fn fleet_and_chaos_reject_garbage_operands() {
     assert_usage_exit(&["chaos", "not-a-seed"], "unsigned integers");
     assert_usage_exit(&["profile", "--bogus"], "usage: figures profile");
 }
+
+#[test]
+fn figure_path_rejects_unknown_flags() {
+    assert_usage_exit(&["table1", "--bogus"], "usage: figures");
+}
+
+#[test]
+fn bench_check_reads_the_committed_file_before_running() {
+    assert_usage_exit(
+        &["bench", "--check", "/nonexistent/BENCH.json"],
+        "/nonexistent/BENCH.json",
+    );
+}

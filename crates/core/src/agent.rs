@@ -542,17 +542,7 @@ impl RacAgent {
                 w.put_u64(word);
             }
         });
-        snap.section(SECTION_LIBRARY, |w| {
-            match &self.library {
-                Some(lib) => {
-                    w.put_bool(true);
-                    w.put_usize(self.lattice.num_states());
-                    w.put_usize(Action::COUNT);
-                    crate::persist::encode_library(w, lib);
-                }
-                None => w.put_bool(false),
-            };
-        });
+        crate::persist::write_library(snap, self.library.as_ref());
     }
 
     /// Reconstructs an agent from a snapshot written by
@@ -723,28 +713,7 @@ impl RacAgent {
         r.finish()?;
         let rng = Pcg64::from_state_words(words);
 
-        let mut r = snap.section(SECTION_LIBRARY)?;
-        let library = if r.get_bool()? {
-            let lib_states = r.get_usize()?;
-            let lib_actions = r.get_usize()?;
-            if (lib_states, lib_actions) != (states, Action::COUNT) {
-                return Err(ckpt::CkptError::Mismatch {
-                    detail: format!(
-                        "library trained on {lib_states}x{lib_actions}, agent uses {}x{}",
-                        states,
-                        Action::COUNT
-                    ),
-                });
-            }
-            Some(crate::persist::decode_library(
-                &mut r,
-                states,
-                Action::COUNT,
-            )?)
-        } else {
-            None
-        };
-        r.finish()?;
+        let library = crate::persist::read_library(snap, Some((states, Action::COUNT)))?;
 
         let learner = QLearning::new(settings.alpha, settings.gamma);
         let mut agent = RacAgent {

@@ -191,9 +191,16 @@ pub(crate) fn decode_library(
 /// Panics if the snapshot already has an agent library section (the
 /// caller mixed this with [`RacAgent::save_state`](crate::RacAgent)).
 pub fn library_to_snapshot(snap: &mut SnapshotWriter, lib: &PolicyLibrary) {
+    write_library(snap, Some(lib));
+}
+
+/// Writes the `rac.library` section: a presence flag, then the lattice
+/// shape and the library. An empty or absent library writes only the
+/// flag.
+pub(crate) fn write_library(snap: &mut SnapshotWriter, lib: Option<&PolicyLibrary>) {
     snap.section(crate::agent::SECTION_LIBRARY, |w| {
-        match lib.iter().next() {
-            Some((_, policy)) => {
+        match lib.and_then(|lib| Some((lib, lib.iter().next()?.1))) {
+            Some((lib, policy)) => {
                 w.put_bool(true);
                 w.put_usize(policy.qtable.states());
                 w.put_usize(policy.qtable.actions());
@@ -215,7 +222,7 @@ pub fn library_to_snapshot(snap: &mut SnapshotWriter, lib: &PolicyLibrary) {
 /// agent library section, [`CkptError::Mismatch`] when the agent ran
 /// without a policy library, and decoding errors as usual.
 pub fn library_from_snapshot(snap: &Snapshot) -> Result<PolicyLibrary, CkptError> {
-    read_library(snap, None)
+    warm_start_library(snap, None)
 }
 
 /// Like [`library_from_snapshot`], but additionally requires the stored
@@ -236,35 +243,45 @@ pub fn library_from_snapshot_checked(
     states: usize,
     actions: usize,
 ) -> Result<PolicyLibrary, CkptError> {
-    read_library(snap, Some((states, actions)))
+    warm_start_library(snap, Some((states, actions)))
 }
 
-/// Decodes the agent library section, checking its shape header
-/// against `expected` when given.
-fn read_library(
+/// Reads the `rac.library` section written by [`write_library`]:
+/// `None` when it holds no library. The shape header is checked against
+/// `expected` when given.
+pub(crate) fn read_library(
     snap: &Snapshot,
     expected: Option<(usize, usize)>,
-) -> Result<PolicyLibrary, CkptError> {
+) -> Result<Option<PolicyLibrary>, CkptError> {
     let mut r = snap.section(crate::agent::SECTION_LIBRARY)?;
     if !r.get_bool()? {
-        return Err(CkptError::Mismatch {
-            detail: "checkpointed agent had no policy library to warm-start from".to_string(),
-        });
+        r.finish()?;
+        return Ok(None);
     }
     let got = (r.get_usize()?, r.get_usize()?);
     let (states, actions) = expected.unwrap_or(got);
     if got != (states, actions) {
         return Err(CkptError::Mismatch {
             detail: format!(
-                "warm-start library trained on a {}x{} lattice, \
-                 this run's lattice is {states}x{actions}",
+                "stored policy library was trained on a {}x{} lattice, \
+                 expected {states}x{actions}",
                 got.0, got.1
             ),
         });
     }
     let lib = decode_library(&mut r, states, actions)?;
     r.finish()?;
-    Ok(lib)
+    Ok(Some(lib))
+}
+
+/// [`read_library`] for the warm-start path, where a library is required.
+fn warm_start_library(
+    snap: &Snapshot,
+    expected: Option<(usize, usize)>,
+) -> Result<PolicyLibrary, CkptError> {
+    read_library(snap, expected)?.ok_or_else(|| CkptError::Mismatch {
+        detail: "checkpointed agent had no policy library to warm-start from".to_string(),
+    })
 }
 
 #[cfg(test)]

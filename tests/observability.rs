@@ -9,7 +9,7 @@
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use obs::trace::{self, TraceWriter};
 use rac::runner::Runner;
@@ -65,6 +65,14 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
     (status, body)
 }
 
+/// The self-profiler's on/off switch is process-global and each test
+/// below flips it, so they take turns: otherwise one test's bare run can
+/// switch the profiler off for the whole of another's profiled run.
+fn profiler_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn scratch_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rac-obs-it-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -80,6 +88,7 @@ fn scratch_path(name: &str) -> PathBuf {
 /// folded dump.
 #[test]
 fn serve_and_profiling_leave_run_bytes_identical() {
+    let _turn = profiler_turn();
     static RUNNER_1: OnceLock<Runner> = OnceLock::new();
     static RUNNER_8: OnceLock<Runner> = OnceLock::new();
     let scn = resolve("diurnal").expect("bundled").scaled(1, 3);
@@ -139,6 +148,7 @@ fn serve_and_profiling_leave_run_bytes_identical() {
 /// profiler, and so is the completed series.
 #[test]
 fn profiling_leaves_checkpoint_snapshot_bytes_identical() {
+    let _turn = profiler_turn();
     static RUNNER: OnceLock<Runner> = OnceLock::new();
     let library = library_on(RUNNER.get_or_init(|| Runner::new(2)));
     let scn = resolve("flash-crowd").expect("bundled").scaled(1, 3);
@@ -175,6 +185,7 @@ fn profiling_leaves_checkpoint_snapshot_bytes_identical() {
 /// dump is flamegraph-shaped (`path<space>self_us` per line).
 #[test]
 fn folded_profile_covers_pipeline_phases() {
+    let _turn = profiler_turn();
     static RUNNER: OnceLock<Runner> = OnceLock::new();
     let library = library_on(RUNNER.get_or_init(|| Runner::new(2)));
     let scn = resolve("diurnal").expect("bundled").scaled(1, 3);
